@@ -483,48 +483,11 @@ func benchObs(b *testing.B, attach bool) {
 // the forwarding path pays only nil checks.
 func BenchmarkObsDisabled(b *testing.B) { benchObs(b, false) }
 
-// BenchmarkObsAttached runs with counters and control events recording
-// (sampling off), for comparison against BenchmarkObsDisabled.
+// BenchmarkObsAttached runs with counters and control events recording, the
+// event-loop profiler and the latency histograms live (sampling off), for
+// comparison against BenchmarkObsDisabled. The contract is <5% Mevents/s
+// cost.
 func BenchmarkObsAttached(b *testing.B) { benchObs(b, true) }
-
-// benchPerfObs is the overhead pair for the performance-observability
-// layer: the event-loop profiler (exact per-kind counts, strided wall-time
-// sampling) and the log-bucketed latency histograms (queue wait, feedback
-// RTT) that attach automatically whenever a registry is wired in. Disabled
-// is a plain run where every instrument is a nil receiver; Attached runs
-// the same scenario with the registry present and time-series sampling off,
-// so the delta is exactly what the hot path pays for profiling plus
-// histogram observation. The contract is <5% Mevents/s cost — the gated
-// metric CI compares against the committed snapshot.
-func benchPerfObs(b *testing.B, attach bool) {
-	b.Helper()
-	sc := corelite.Fig5Scenario(1)
-	sc.Duration = 20 * time.Second
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		run := sc
-		run.Seed = int64(i + 1)
-		if attach {
-			run.Obs = corelite.NewObsRegistry()
-			run.ObsSample = -1
-		}
-		res, err := corelite.Run(run)
-		if err != nil {
-			b.Fatalf("run: %v", err)
-		}
-		events += res.Events
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-}
-
-// BenchmarkPerfObsDisabled is the nil-instrument baseline for the
-// profiler/histogram layer.
-func BenchmarkPerfObsDisabled(b *testing.B) { benchPerfObs(b, false) }
-
-// BenchmarkPerfObsAttached runs with the event-loop profiler and latency
-// histograms live; compare against BenchmarkPerfObsDisabled to verify the
-// <5% overhead contract.
-func BenchmarkPerfObsAttached(b *testing.B) { benchPerfObs(b, true) }
 
 // benchFlowScenario runs b.N seed replicas of a scenario on the flow
 // (fluid) backend and reports the engine's scale metric: simulated

@@ -65,8 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		scheme    = fs.String("scheme", "corelite", "scheme: corelite or csfq")
 		backend   = fs.String("backend", "packet", "execution engine: packet (discrete-event reference) or flow (fluid rates, orders of magnitude faster)")
-		equeue    = fs.String("equeue", "", "event queue: heap (default), calendar, or auto (calendar for high event-density runs); packet backend only")
-		unfused   = fs.Bool("unfused-links", false, "use the two-event reference link pipeline instead of the fused chain (byte-identical output; for profiling and differential runs)")
 		fullSolve = fs.Bool("full-solve", false, "force the flow backend's monolithic water-filling solve instead of the incremental solver large models select (differential reference; no-op below the size cutoff and on the packet backend)")
 		flows     = fs.Int("flows", 10, "number of flows (1-20 on the paper topology)")
 		duration  = fs.Duration("duration", 80*time.Second, "simulated duration")
@@ -101,6 +99,20 @@ func run(args []string, stdout io.Writer) error {
 	if *runs < 1 {
 		return fmt.Errorf("-runs %d: want at least 1", *runs)
 	}
+	for _, c := range []struct {
+		flag string
+		bad  bool
+		want string
+	}{
+		{"default-weight", !(*defaultW > 0), "a positive weight"},
+		{"ss-thresh", !(*ssThresh >= 0), "a non-negative rate (0 = the paper's 32)"},
+		{"chain-capacity", !(*chainCap >= 0), "a non-negative capacity (0 = the paper's 500)"},
+		{"chain-span", *chainSpan < 0, "a non-negative span (0 = 4)"},
+	} {
+		if c.bad {
+			return fmt.Errorf("-%s %s: want %s", c.flag, fs.Lookup(c.flag).Value, c.want)
+		}
+	}
 	if *traceOut != "" && *runs > 1 {
 		return fmt.Errorf("-trace supports a single run (got -runs %d)", *runs)
 	}
@@ -127,8 +139,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	sc.Backend = be
-	sc.EventQueue = *equeue
-	sc.UnfusedLinks = *unfused
 	sc.FullSolve = *fullSolve
 	if *ssThresh > 0 {
 		ec := corelite.DefaultEdgeConfig()

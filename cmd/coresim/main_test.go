@@ -135,6 +135,20 @@ func TestRunCSFQAndErrors(t *testing.T) {
 	if err := run([]string{"-weights", "garbage"}, &sb); err == nil {
 		t.Error("bad weights accepted")
 	}
+	// Out-of-range numeric flags fail, naming the flag, instead of
+	// silently falling back to a default.
+	for _, args := range [][]string{
+		{"-ss-thresh", "-5"},
+		{"-default-weight", "-3"},
+		{"-default-weight", "0"},
+		{"-backend", "flow", "-chain-cores", "4", "-chain-capacity", "-1"},
+		{"-backend", "flow", "-chain-cores", "4", "-chain-span", "-2"},
+	} {
+		err := run(append(args, "-duration", "1s", "-summary=false"), &sb)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]+" ") {
+			t.Errorf("run %v = %v, want an error naming %s", args, err, args[len(args)-2])
+		}
+	}
 	if err := run([]string{"-topo", "/does/not/exist"}, &sb); err == nil {
 		t.Error("missing topo file accepted")
 	}

@@ -126,6 +126,18 @@ func TestValidateChain(t *testing.T) {
 	if err := sc.Validate(); err == nil {
 		t.Error("chain+dumbbell accepted")
 	}
+
+	sc = chain()
+	sc.Chain.CapacityPPS = -1
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "capacity") {
+		t.Errorf("negative chain capacity: err = %v", err)
+	}
+
+	sc = chain()
+	sc.Chain.MaxSpan = -1
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "span") {
+		t.Errorf("negative chain span: err = %v", err)
+	}
 }
 
 // TestChainRunFlow exercises the generated chain end to end on the flow

@@ -5,7 +5,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -59,18 +58,6 @@ type Scenario struct {
 	// fluid engine. The flow backend rejects packet-only knobs (TCP
 	// transports, tracing) at validation time.
 	Backend Backend
-	// EventQueue selects the scheduler's pending-event queue on the packet
-	// backend: "" or "heap" (the default 4-ary heap), "calendar" (the
-	// calendar queue), or "auto" (calendar for high event-density runs —
-	// NumFlows ≥ 16 — heap otherwise). Every kind produces the identical
-	// event order, pinned by the differential scheduler suite, so this is
-	// a performance knob only; the flow backend ignores it.
-	EventQueue string
-	// UnfusedLinks selects the two-event reference link pipeline (separate
-	// transmit-completion and propagation-arrival events per packet)
-	// instead of the fused per-link chain. Output is byte-identical either
-	// way; the knob exists for differential testing and profiling.
-	UnfusedLinks bool
 	// FullSolve forces the flow backend's monolithic water-filling solve
 	// after every event batch instead of the incremental dirty-set solver
 	// that large models select automatically. Small models (fewer than
@@ -512,9 +499,6 @@ func (sc Scenario) Validate() error {
 	if sc.Backend != BackendPacket && sc.Backend != BackendFlow {
 		return fmt.Errorf("experiments: unknown backend %d", int(sc.Backend))
 	}
-	if _, err := sc.queueKind(); err != nil {
-		return err
-	}
 	if sc.Backend == BackendFlow {
 		for idx, tr := range sc.Transports {
 			if tr == TransportTCP {
@@ -538,27 +522,14 @@ func (sc Scenario) Validate() error {
 		if sc.Chain.Flows < 1 {
 			return fmt.Errorf("experiments: chain needs at least 1 flow, got %d", sc.Chain.Flows)
 		}
+		if !(sc.Chain.CapacityPPS >= 0) {
+			return fmt.Errorf("experiments: chain capacity %v pkt/s: want ≥ 0 (0 = 500)", sc.Chain.CapacityPPS)
+		}
+		if sc.Chain.MaxSpan < 0 {
+			return fmt.Errorf("experiments: chain max span %d: want ≥ 0 (0 = 4)", sc.Chain.MaxSpan)
+		}
 	}
 	return nil
-}
-
-// autoCalendarFlows is the event-density threshold of the "auto" event-queue
-// policy: at 16+ flows the paper topology keeps enough concurrent events in
-// flight at similar timescales that the calendar queue's near-O(1)
-// insert/pop pays for its rotation bookkeeping.
-const autoCalendarFlows = 16
-
-// queueKind resolves the scenario's EventQueue spelling, applying the
-// "auto" density policy. Call on a normalized scenario (auto reads
-// NumFlows).
-func (sc Scenario) queueKind() (sim.QueueKind, error) {
-	if strings.EqualFold(strings.TrimSpace(sc.EventQueue), "auto") {
-		if sc.NumFlows >= autoCalendarFlows {
-			return sim.QueueCalendar, nil
-		}
-		return sim.QueueHeap, nil
-	}
-	return sim.ParseQueueKind(sc.EventQueue)
 }
 
 // packetEngine executes scenarios on the packet-level discrete-event
@@ -570,22 +541,13 @@ type packetEngine struct{}
 // Run implements Engine. sc arrives normalized and validated, with
 // SampleWindow defaulted.
 func (packetEngine) Run(sc Scenario) (*Result, error) {
-	kind, err := sc.queueKind()
-	if err != nil {
-		return nil, err
-	}
-	sched := sim.NewSchedulerKind(kind)
+	sched := sim.NewScheduler()
 	rng := sim.NewRNG(sc.Seed)
 	cloud, err := buildCloud(sc, sched)
 	if err != nil {
 		return nil, fmt.Errorf("build topology: %w", err)
 	}
 	net := cloud.Net
-	if sc.UnfusedLinks {
-		// Select the reference pipeline before any traffic is scheduled;
-		// both pipelines emit the identical event stream.
-		net.SetLinkFusion(false)
-	}
 	if sc.Tracer != nil {
 		net.SetTracer(sc.Tracer)
 	}

@@ -12,8 +12,8 @@ const (
 	defaultCalendarBuckets      = 256
 )
 
-// calendarQueue is a calendar queue (R. Brown, CACM 1988) adapted to this
-// scheduler's contract: an exact (at, seq) total order and lazy
+// calendarQueue is the scheduler's pending-event queue: a calendar queue
+// (R. Brown, CACM 1988) adapted to an exact (at, seq) total order and lazy
 // cancellation. Events within the current rotation window hash by timestamp
 // into a ring of buckets; a bucket is sorted only when the wheel reaches it,
 // and later arrivals into the bucket being consumed are placed by binary
@@ -21,6 +21,10 @@ const (
 // the rotation horizon wait in an overflow heap and are drained bucket-ward
 // when the wheel rolls over. Cancelled entries are discarded when they
 // surface at the front.
+//
+// With most events a few milliseconds ahead of now, bucket appends and small
+// on-demand sorts beat a heap's O(log n) sifts on both the paper figures and
+// the at-scale fat-trees; DESIGN.md §S30 has the measured A/B.
 type calendarQueue struct {
 	sc       *Scheduler // resolves handle args for lazy-cancel checks
 	width    Time
@@ -33,22 +37,16 @@ type calendarQueue struct {
 	overflow heapQueue // events at or beyond rotStart + len(buckets)·width
 }
 
-func newCalendarQueue(sc *Scheduler, width Time, nbuckets int) *calendarQueue {
-	if width <= 0 {
-		width = defaultCalendarWidth
-	}
-	if nbuckets <= 0 {
-		nbuckets = defaultCalendarBuckets
-	}
-	return &calendarQueue{sc: sc, width: width, buckets: make([][]entry, nbuckets)}
+// newCalendarQueue returns an empty queue of nbuckets buckets, each width
+// wide. The geometry affects speed only, never the event order.
+func newCalendarQueue(sc *Scheduler, width Time, nbuckets int) calendarQueue {
+	return calendarQueue{sc: sc, width: width, buckets: make([][]entry, nbuckets)}
 }
 
 // discard releases a lazily-cancelled handle entry surfacing at the front.
 func (q *calendarQueue) discard(e *entry) {
-	ev := q.sc.evs[e.arg]
+	q.sc.evs[e.arg].fn = nil
 	q.sc.releaseEv(e.arg)
-	ev.fn = nil
-	ev.index = indexFired
 }
 
 // horizon is the first timestamp past the current rotation window.
@@ -72,11 +70,12 @@ func (q *calendarQueue) push(e entry) {
 	if b < q.cur {
 		// The wheel coasted past b's (then-empty) bucket while draining
 		// ahead of the clock; rewind to it. This cannot happen from inside
-		// a callback — the executing entry holds the wheel at its own
-		// bucket and new events sort at or after now — so no in-flight
-		// cursor state is disturbed. Compact the consumed prefix out of the
-		// bucket the wheel is leaving first: pos resets to 0, and a later
-		// scan of that bucket must not replay entries that already fired.
+		// a callback — the wheel stays at the executing entry's bucket
+		// until the next peek, and new events sort at or after now — so no
+		// in-flight cursor state is disturbed. Compact the consumed prefix
+		// out of the bucket the wheel is leaving first: pos resets to 0,
+		// and a later scan of that bucket must not replay entries that
+		// already fired.
 		if q.pos > 0 && q.cur < len(q.buckets) {
 			old := q.buckets[q.cur]
 			q.buckets[q.cur] = old[:copy(old, old[q.pos:])]
@@ -102,8 +101,8 @@ func (q *calendarQueue) push(e entry) {
 
 // peek surfaces the earliest live entry, discarding cancelled entries and
 // advancing the wheel (including rotations and overflow drains) as needed.
-// The returned pointer is valid until the next queue operation; dropMin and
-// replaceMin act on exactly this entry.
+// The returned pointer is valid until the next queue operation; dropMin
+// acts on exactly this entry.
 func (q *calendarQueue) peek() (*entry, bool) {
 	for {
 		if q.count == 0 {
@@ -202,12 +201,6 @@ func (q *calendarQueue) drainOverflow() {
 func (q *calendarQueue) dropMin() {
 	q.pos++
 	q.count--
-}
-
-// replaceMin swaps the entry peek returned for a re-armed one.
-func (q *calendarQueue) replaceMin(e entry) {
-	q.dropMin()
-	q.push(e)
 }
 
 // sortEntries orders a bucket by (at, seq). Keys are unique (seq is), so

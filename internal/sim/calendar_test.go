@@ -14,15 +14,15 @@ import (
 // entries that already fired, executing them a second time with a stale
 // timestamp and driving simulated time backwards.
 func TestCalendarFastForwardNoReplay(t *testing.T) {
-	s := NewSchedulerKind(QueueCalendar)
+	s := NewScheduler()
 	var fired []Time
 	note := func() { fired = append(fired, s.Now()) }
 
 	// Near event lands in a bucket; far event (700ms >= 256ms horizon) waits
 	// in the overflow heap. Consuming the near event leaves its consumed
 	// entry resident in the bucket with count == 0.
-	s.PostAt(Time(time.Millisecond), note)
-	s.PostAt(Time(700*time.Millisecond), note)
+	s.MustAt(Time(time.Millisecond), note)
+	s.MustAt(Time(700*time.Millisecond), note)
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -41,60 +41,11 @@ func TestCalendarFastForwardNoReplay(t *testing.T) {
 	}
 }
 
-// TestCalendarGeometryOption pins the WithCalendarGeometry plumbing: the
-// option reaches the queue, non-positive values fall back to the defaults,
-// and — geometry being a performance knob only — a deliberately tiny wheel
-// fires events in exactly the reference order.
-func TestCalendarGeometryOption(t *testing.T) {
-	s := NewSchedulerKind(QueueCalendar, WithCalendarGeometry(Time(250*time.Microsecond), 8))
-	q := s.alt.(*calendarQueue)
-	if q.width != Time(250*time.Microsecond) || len(q.buckets) != 8 {
-		t.Fatalf("geometry = %v × %d, want 250µs × 8", q.width, len(q.buckets))
-	}
-
-	d := NewSchedulerKind(QueueCalendar, WithCalendarGeometry(0, -1))
-	dq := d.alt.(*calendarQueue)
-	if dq.width != defaultCalendarWidth || len(dq.buckets) != defaultCalendarBuckets {
-		t.Fatalf("zero-value geometry = %v × %d, want defaults %v × %d",
-			dq.width, len(dq.buckets), defaultCalendarWidth, defaultCalendarBuckets)
-	}
-
-	// A heap option on a heap scheduler is a no-op, not an error.
-	if h := NewSchedulerKind(QueueHeap, WithCalendarGeometry(1, 1)); h.alt != nil {
-		t.Fatal("heap scheduler grew an alternative queue")
-	}
-
-	// 8 × 250µs = 2ms rotation: these spill into overflow and wrap the tiny
-	// wheel repeatedly, yet the order must match the posting times exactly.
-	times := []Time{
-		Time(100 * time.Microsecond),
-		Time(1900 * time.Microsecond),
-		Time(2 * time.Millisecond),
-		Time(30 * time.Millisecond),
-		Time(30*time.Millisecond + 1),
-	}
-	var fired []Time
-	for _, at := range times {
-		s.PostAt(at, func() { fired = append(fired, s.Now()) })
-	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(fired) != len(times) {
-		t.Fatalf("fired %d events (%v), want %d", len(fired), fired, len(times))
-	}
-	for i, at := range times {
-		if fired[i] != at {
-			t.Fatalf("firing sequence %v, want %v", fired, times)
-		}
-	}
-}
-
 // TestCalendarRepeatedFastForward drives several idle-gap fast-forwards in a
 // row, each leaving consumed residue behind, and checks the firing sequence
 // stays strictly monotonic with every event firing exactly once.
 func TestCalendarRepeatedFastForward(t *testing.T) {
-	s := NewSchedulerKind(QueueCalendar)
+	s := NewScheduler()
 	var fired []Time
 	note := func() { fired = append(fired, s.Now()) }
 
@@ -106,7 +57,7 @@ func TestCalendarRepeatedFastForward(t *testing.T) {
 		Time(2500*time.Millisecond + 1),
 	}
 	for _, at := range times {
-		s.PostAt(at, note)
+		s.MustAt(at, note)
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)

@@ -8,12 +8,12 @@ import (
 )
 
 // refScheduler is a deliberately naive reference implementation of the
-// event-queue contract the heap must preserve: a sorted list ordered by
-// (time, scheduling sequence), with cancelled events skipped lazily at pop
-// time — the semantics of the original container/heap scheduler. The
-// differential tests below run the same op programs through both engines and
-// require identical firing sequences, so any heap bug that perturbs the
-// total order (and would silently change every figure) is caught directly.
+// event-queue contract the calendar queue must preserve: a sorted list
+// ordered by (time, scheduling sequence), with cancelled events skipped
+// lazily at pop time. The differential tests below run the same op programs
+// through both and require identical firing sequences, so any queue bug
+// that perturbs the total order (and would silently change every figure) is
+// caught directly.
 type refScheduler struct {
 	now     time.Duration
 	seq     uint64
@@ -65,7 +65,7 @@ func (r *refScheduler) runAll() {
 
 // opPrograms is the FuzzScheduler seed corpus (the f.Add seeds plus the
 // regression entries under testdata/fuzz), reused here as deterministic
-// differential inputs, plus a long mixed program exercising deep heaps.
+// differential inputs, plus a long mixed program exercising deep queues.
 func opPrograms() [][]byte {
 	programs := [][]byte{
 		{0, 10, 0, 10, 1, 0, 3, 0, 0, 5, 2, 1, 3, 0},
@@ -98,23 +98,41 @@ type firing struct {
 	ord int
 }
 
-// queueKinds are the implementations the differential suite pins against the
-// reference; every test in this file runs each program under all of them.
-var queueKinds = []QueueKind{QueueHeap, QueueCalendar}
+// geometries are the calendar shapes every differential program runs under:
+// the production wheel, and a degenerate one-bucket, 1ns wheel under which
+// every event beyond the current nanosecond waits in the overflow heap, so
+// the heap's sift paths and the rotation and fast-forward logic run on
+// nearly every operation.
+var geometries = []struct {
+	name    string
+	width   Time
+	buckets int
+}{
+	{"calendar", defaultCalendarWidth, defaultCalendarBuckets},
+	{"heap", 1, 1},
+}
+
+// newSchedulerGeometry returns an empty scheduler whose calendar has the
+// given bucket width and count.
+func newSchedulerGeometry(width Time, buckets int) *Scheduler {
+	s := NewScheduler()
+	s.cal = newCalendarQueue(s, width, buckets)
+	return s
+}
 
 // diffScales stretch the op programs' byte-valued delays (≤255 units) onto
 // three calendar regimes: within one bucket, across buckets within one
-// rotation, and across rotations through the overflow heap. The heap is
-// geometry-free, but the calendar's bucket-clearing, rotation-roll and
-// fast-forward paths only run when programs actually cross those boundaries.
+// rotation, and across rotations through the overflow heap. The calendar's
+// bucket-clearing, rotation-roll and fast-forward paths only run when
+// programs actually cross those boundaries.
 var diffScales = []time.Duration{1, 1100 * time.Microsecond, 97 * time.Millisecond}
 
-// runProgram interprets the op program against the real scheduler (backed by
-// the given queue kind) using cancellable handles and returns the firing
+// runProgram interprets the op program against a scheduler with the given
+// calendar geometry using cancellable handles and returns the firing
 // sequence. Delays are multiplied by scale.
-func runProgram(t *testing.T, kind QueueKind, program []byte, scale time.Duration) []firing {
+func runProgram(t *testing.T, width Time, buckets int, program []byte, scale time.Duration) []firing {
 	t.Helper()
-	s := NewSchedulerKind(kind)
+	s := newSchedulerGeometry(width, buckets)
 	var (
 		fired   []firing
 		pending []*Event
@@ -124,11 +142,7 @@ func runProgram(t *testing.T, kind QueueKind, program []byte, scale time.Duratio
 	schedule := func(at time.Duration) {
 		tag := nexttag
 		nexttag++
-		ev, err := s.At(at, func() { fired = append(fired, firing{at, tag}) })
-		if err != nil {
-			t.Fatalf("At(%v): %v", at, err)
-		}
-		pending = append(pending, ev)
+		pending = append(pending, s.MustAt(at, func() { fired = append(fired, firing{at, tag}) }))
 	}
 	for i := 0; i+1 < len(program); i += 2 {
 		op, arg := program[i]%4, program[i+1]
@@ -196,23 +210,23 @@ func runProgramRef(program []byte, scale time.Duration) []firing {
 	return fired
 }
 
-// TestSchedulerDifferential pins each queue implementation's total order
-// against the reference: identical programs must produce identical firing
-// sequences, cancel-skips included.
+// TestSchedulerDifferential pins the calendar queue's total order against
+// the reference: identical programs must produce identical firing
+// sequences, cancel-skips included, under every geometry and delay scale.
 func TestSchedulerDifferential(t *testing.T) {
-	for _, kind := range queueKinds {
+	for _, g := range geometries {
 		for _, scale := range diffScales {
 			for pi, program := range opPrograms() {
-				got := runProgram(t, kind, program, scale)
+				got := runProgram(t, g.width, g.buckets, program, scale)
 				want := runProgramRef(program, scale)
 				if len(got) != len(want) {
-					t.Fatalf("%v scale %v program %d: fired %d events, reference fired %d",
-						kind, scale, pi, len(got), len(want))
+					t.Fatalf("%s scale %v program %d: fired %d events, reference fired %d",
+						g.name, scale, pi, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%v scale %v program %d: firing %d = {at %v, ord %d}, reference {at %v, ord %d}",
-							kind, scale, pi, i, got[i].at, got[i].ord, want[i].at, want[i].ord)
+						t.Fatalf("%s scale %v program %d: firing %d = {at %v, ord %d}, reference {at %v, ord %d}",
+							g.name, scale, pi, i, got[i].at, got[i].ord, want[i].at, want[i].ord)
 					}
 				}
 			}
@@ -221,23 +235,26 @@ func TestSchedulerDifferential(t *testing.T) {
 }
 
 // TestSchedulerDifferentialPost replays the schedule/step ops through the
-// handle-free PostAt path (cancel ops become no-ops on both sides): pooled
-// events must follow exactly the same (time, seq) total order as handles.
+// handle-free registered-handler tier (cancel ops become no-ops on both
+// sides): posted events must follow exactly the same (time, seq) total order
+// as handles.
 func TestSchedulerDifferentialPost(t *testing.T) {
-	for _, kind := range queueKinds {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, g := range geometries {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
 			for _, scale := range diffScales {
-				testDifferentialPost(t, kind, scale)
+				testDifferentialPost(t, g.width, g.buckets, scale)
 			}
 		})
 	}
 }
 
-func testDifferentialPost(t *testing.T, kind QueueKind, scale time.Duration) {
+func testDifferentialPost(t *testing.T, width Time, buckets int, scale time.Duration) {
 	for pi, program := range opPrograms() {
-		s := NewSchedulerKind(kind)
+		s := newSchedulerGeometry(width, buckets)
 		r := &refScheduler{}
 		var got, want []firing
+		hid := s.RegisterHandler(func(tag uint32) { got = append(got, firing{s.Now(), int(tag)}) })
 		nexttag := 0
 		var lastAt time.Duration
 		for i := 0; i+1 < len(program); i += 2 {
@@ -254,11 +271,10 @@ func testDifferentialPost(t *testing.T, kind QueueKind, scale time.Duration) {
 				lastAt = at
 				tag := nexttag
 				nexttag++
-				s.PostAt(at, func() { got = append(got, firing{at, tag}) })
+				s.PostHandlerAt(at, hid, uint32(tag))
 				r.at(at, func() { want = append(want, firing{at, tag}) })
 			case 2:
-				// Post events cannot be cancelled; skip on both sides.
-				_ = arg
+				// Posted events cannot be cancelled; skip on both sides.
 			case 3:
 				s.Step()
 				r.step()
@@ -279,33 +295,37 @@ func testDifferentialPost(t *testing.T, kind QueueKind, scale time.Duration) {
 	}
 }
 
-// TestSchedulerDifferentialMixed drives every scheduling tier at once —
-// cancellable handles, pooled closures, registered handlers with in-place
-// re-arms, and the reserved-sequence arrival chain the fused link pipeline
-// uses — through deterministic pseudo-random interleavings, in lockstep
-// against the reference list, under both queue kinds. The reference models a
-// re-arm as an eager insert at the instant the real scheduler draws the
-// re-arm sequence, and a reservation as an eager insert at reservation time,
-// so any drift in sequence accounting surfaces as a firing-order mismatch.
-// The event-loop profiler rides along at stride 1 and its exact per-kind
-// counts must match the reference's manual tally.
+// TestSchedulerDifferentialMixed drives both scheduling tiers at once —
+// cancellable handles and registered handlers that post follow-ups from
+// inside their callbacks, the shape of the link pipeline's transmit handler
+// (post the propagation, post the next completion) — through deterministic
+// pseudo-random interleavings, in lockstep against the reference list, under
+// every geometry and delay scale. The reference inserts each follow-up at
+// the moment the real scheduler posts it, so any drift in sequence
+// accounting surfaces as a firing-order mismatch. The event-loop profiler
+// rides along at stride 1 and its exact per-kind counts must match the
+// reference's manual tally.
 func TestSchedulerDifferentialMixed(t *testing.T) {
-	for _, kind := range queueKinds {
+	for _, g := range geometries {
 		for seed := uint64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
-				runMixedDifferential(t, kind, seed)
+			g, seed := g, seed
+			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
+				for _, scale := range diffScales {
+					runMixedDifferential(t, g.width, g.buckets, seed, scale)
+				}
 			})
 		}
 	}
 }
 
-func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
-	const (
-		ops        = 800
-		rearmDelay = 3 * time.Millisecond
-		chainDelay = 2 * time.Millisecond
+func runMixedDifferential(t *testing.T, width Time, buckets int, seed uint64, scale time.Duration) {
+	const ops = 800
+	// Delays are drawn in units of scale, below 256 like the op programs'.
+	var (
+		txDelay   = 3 * scale
+		propDelay = 2 * scale
 	)
-	s := NewSchedulerKind(kind)
+	s := newSchedulerGeometry(width, buckets)
 	prof := NewLoopProfiler(1)
 	s.SetProfiler(prof)
 	r := &refScheduler{}
@@ -317,45 +337,39 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 	}
 	var got, want []rec
 
-	// Registered tier: tags divisible by five re-arm themselves once, the
-	// shape the link tx handlers use.
-	rearmed := map[uint32]bool{}
-	refRearmed := map[uint32]bool{}
-	hid := s.RegisterHandler(func(arg uint32) {
+	// Registered tier: a propagation handler, and a transmit handler whose
+	// tags divisible by five post a propagation and then one more transmit
+	// of their own, in that order.
+	propHid := s.RegisterHandler(func(arg uint32) {
+		s.MarkHandler(KindLinkProp)
+		got = append(got, rec{s.Now(), arg})
+	})
+	reposted := map[uint32]bool{}
+	var txHid HandlerID
+	txHid = s.RegisterHandler(func(arg uint32) {
 		s.MarkHandler(KindLinkTx)
 		got = append(got, rec{s.Now(), arg})
-		if arg%5 == 0 && !rearmed[arg] {
-			rearmed[arg] = true
-			s.RescheduleAfter(rearmDelay)
+		if arg%5 == 0 && !reposted[arg] {
+			reposted[arg] = true
+			s.PostHandler(propDelay, propHid, arg)
+			s.PostHandler(txDelay, txHid, arg)
 		}
 	})
-	var refFire func(arg uint32)
-	refFire = func(arg uint32) {
+	refReposted := map[uint32]bool{}
+	refProp := func(arg uint32) {
+		refCounts[KindLinkProp]++
+		want = append(want, rec{r.now, arg})
+	}
+	var refTx func(arg uint32)
+	refTx = func(arg uint32) {
 		refCounts[KindLinkTx]++
 		want = append(want, rec{r.now, arg})
-		if arg%5 == 0 && !refRearmed[arg] {
-			refRearmed[arg] = true
-			r.at(r.now+rearmDelay, func() { refFire(arg) })
+		if arg%5 == 0 && !refReposted[arg] {
+			refReposted[arg] = true
+			r.at(r.now+propDelay, func() { refProp(arg) })
+			r.at(r.now+txDelay, func() { refTx(arg) })
 		}
 	}
-
-	// Reserved-sequence chain: the fused pipeline's arrival FIFO, constant
-	// delay so arrival times are monotone per the API contract.
-	type chainEnt struct {
-		at  time.Duration
-		seq uint64
-		tag uint32
-	}
-	var fifo []chainEnt
-	chainHid := s.RegisterHandler(func(uint32) {
-		s.MarkHandler(KindLinkProp)
-		head := fifo[0]
-		fifo = fifo[1:]
-		got = append(got, rec{s.Now(), head.tag})
-		if len(fifo) > 0 {
-			s.RescheduleReservedAt(fifo[0].at, fifo[0].seq)
-		}
-	})
 
 	var (
 		pending    []*Event
@@ -372,60 +386,36 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 	}
 	for i := 0; i < ops; i++ {
 		switch op := next(16); {
-		case op < 3: // cancellable handle (stays KindOther)
-			at := s.Now() + time.Duration(next(8_000_000))
+		case op < 6: // cancellable handle, tagged measure/control/other
+			at := s.Now() + time.Duration(next(256))*scale
 			if op == 2 && lastAt >= s.Now() {
 				at = lastAt // exact tie with the previous schedule
 			}
 			lastAt = at
 			tg := tag
 			tag++
-			ev, err := s.At(at, func() { got = append(got, rec{at, tg}) })
-			if err != nil {
-				t.Fatalf("At: %v", err)
-			}
-			pending = append(pending, ev)
-			refPending = append(refPending, r.at(at, func() {
-				refCounts[KindOther]++
-				want = append(want, rec{at, tg})
-			}))
-		case op < 6: // pooled closure, far horizons included
-			at := s.Now() + time.Duration(next(300_000_000))
-			lastAt = at
-			tg := tag
-			tag++
-			mark := KindMeasure
-			if tg&1 == 1 {
+			mark := KindOther
+			switch tg % 3 {
+			case 1:
+				mark = KindMeasure
+			case 2:
 				mark = KindControl
 			}
-			s.PostAt(at, func() {
+			pending = append(pending, s.MustAt(at, func() {
 				s.MarkHandler(mark)
 				got = append(got, rec{at, tg})
-			})
-			r.at(at, func() {
+			}))
+			refPending = append(refPending, r.at(at, func() {
 				refCounts[mark]++
 				want = append(want, rec{at, tg})
-			})
-		case op < 9: // registered handler, may re-arm once
-			d := time.Duration(next(5_000_000))
+			}))
+		case op < 10: // registered handler, may post follow-ups
+			d := time.Duration(next(256)) * scale
 			lastAt = s.Now() + d
 			tg := tag
 			tag++
-			s.PostHandler(d, hid, tg)
-			r.at(r.now+d, func() { refFire(tg) })
-		case op < 11: // reserved-sequence chain hop
-			at := s.Now() + chainDelay
-			seq := s.ReserveSeq()
-			if len(fifo) == 0 {
-				s.PostReservedHandlerAt(at, seq, chainHid, 0)
-			}
-			tg := tag
-			tag++
-			fifo = append(fifo, chainEnt{at: at, seq: seq, tag: tg})
-			r.at(at, func() {
-				refCounts[KindLinkProp]++
-				want = append(want, rec{at, tg})
-			})
+			s.PostHandler(d, txHid, tg)
+			r.at(r.now+d, func() { refTx(tg) })
 		case op < 13: // cancel the same pending handle on both sides
 			if len(pending) > 0 {
 				idx := int(next(uint64(len(pending))))
@@ -443,19 +433,19 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 	r.runAll()
 
 	if len(got) != len(want) {
-		t.Fatalf("fired %d events, reference fired %d", len(got), len(want))
+		t.Fatalf("scale %v: fired %d events, reference fired %d", scale, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("firing %d = {at %v, tag %d}, reference {at %v, tag %d}",
-				i, got[i].at, got[i].tag, want[i].at, want[i].tag)
+			t.Fatalf("scale %v: firing %d = {at %v, tag %d}, reference {at %v, tag %d}",
+				scale, i, got[i].at, got[i].tag, want[i].at, want[i].tag)
 		}
 	}
 	if s.Processed() != r.stepped {
-		t.Fatalf("Processed() = %d, reference stepped %d", s.Processed(), r.stepped)
+		t.Fatalf("scale %v: Processed() = %d, reference stepped %d", scale, s.Processed(), r.stepped)
 	}
 	if s.Len() != 0 {
-		t.Fatalf("queue not drained: Len() = %d", s.Len())
+		t.Fatalf("scale %v: queue not drained: Len() = %d", scale, s.Len())
 	}
 	counts := map[HandlerKind]uint64{}
 	for _, st := range prof.Snapshot() {
@@ -463,13 +453,14 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 	}
 	for k := HandlerKind(0); k < numHandlerKinds; k++ {
 		if counts[k] != refCounts[k] {
-			t.Fatalf("profiler counted %d %v events, reference counted %d", counts[k], k, refCounts[k])
+			t.Fatalf("scale %v: profiler counted %d %v events, reference counted %d", scale, counts[k], k, refCounts[k])
 		}
 	}
 }
 
-// TestCancelRemovesEagerly pins the new Cancel semantics: a cancelled event
-// leaves the queue immediately, so Len() counts live events only.
+// TestCancelRemovesEagerly pins the Cancel accounting: a cancelled event
+// stops counting toward Len() immediately, although its entry is discarded
+// only when it reaches the front.
 func TestCancelRemovesEagerly(t *testing.T) {
 	s := NewScheduler()
 	var evs []*Event
@@ -479,7 +470,7 @@ func TestCancelRemovesEagerly(t *testing.T) {
 	if got := s.Len(); got != 100 {
 		t.Fatalf("Len() = %d, want 100", got)
 	}
-	// Cancel from the middle, the root, and the tail.
+	// Cancel from the middle, the front, and the tail.
 	for _, i := range []int{50, 0, 99, 17, 3} {
 		evs[i].Cancel()
 	}
@@ -500,39 +491,38 @@ func TestCancelRemovesEagerly(t *testing.T) {
 	}
 }
 
-// TestPostSteadyStateAllocs pins the tentpole allocation claim: once the
-// free list is warm, a schedule-and-fire cycle through Post allocates
-// nothing.
+// TestPostSteadyStateAllocs pins the hot-path allocation claim: once the
+// calendar's buckets are warm, a schedule-and-fire cycle through PostHandler
+// allocates nothing.
 func TestPostSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
-	fn := func() {}
-	// Warm the free list and the heap's backing array.
-	for i := 0; i < 8; i++ {
-		s.Post(time.Millisecond, fn)
-	}
-	for s.Step() {
+	hid := s.RegisterHandler(func(uint32) {})
+	// Warm the buckets' backing arrays across a full rotation.
+	for i := 0; i < 2*defaultCalendarBuckets; i++ {
+		s.PostHandler(time.Millisecond, hid, 0)
+		s.Step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.Post(time.Millisecond, fn)
+		s.PostHandler(time.Millisecond, hid, 0)
 		s.Step()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Post/Step allocates %.1f objects per cycle, want 0", allocs)
+		t.Fatalf("steady-state PostHandler/Step allocates %.1f objects per cycle, want 0", allocs)
 	}
 }
 
 // TestPostChainSteadyStateAllocs covers the self-rescheduling shape the link
-// pipeline uses: an event whose callback posts the next one.
+// pipeline uses: a handler whose callback posts the next firing.
 func TestPostChainSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
-	var tick func()
-	tick = func() { s.Post(time.Millisecond, tick) }
-	tick()
-	for i := 0; i < 8; i++ {
+	var hid HandlerID
+	hid = s.RegisterHandler(func(arg uint32) { s.PostHandler(time.Millisecond, hid, arg) })
+	s.PostHandler(time.Millisecond, hid, 0)
+	for i := 0; i < 2*defaultCalendarBuckets; i++ {
 		s.Step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() { s.Step() })
 	if allocs != 0 {
-		t.Fatalf("steady-state chained Post allocates %.1f objects per fire, want 0", allocs)
+		t.Fatalf("steady-state chained PostHandler allocates %.1f objects per fire, want 0", allocs)
 	}
 }

@@ -7,53 +7,45 @@ import (
 
 // FuzzScheduler interprets the fuzz input as a little op program — schedule
 // at an offset, schedule a same-time tie, cancel a pending event, step —
-// runs it against a fresh scheduler of each queue kind, and asserts the
-// discrete-event contract per kind: fired events observe non-decreasing
+// runs it against a fresh scheduler under each calendar geometry, and
+// asserts the discrete-event contract: fired events observe non-decreasing
 // virtual time, same-time events fire in scheduling (FIFO) order, cancelled
 // events never fire, and Processed() counts exactly the events that ran.
-// It then requires the heap and the calendar queue to have produced the
-// byte-for-byte identical firing sequence, making every fuzz input a
-// differential test between the two implementations.
+// It then requires the firing sequence to match the sorted-list reference
+// exactly, making every fuzz input a differential test of the calendar
+// queue.
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 1, 0, 3, 0, 0, 5, 2, 1, 3, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 1, 1, 1, 2, 0, 2, 0})
 	f.Add([]byte{0, 255, 3, 3, 3, 3})
 	// Cancel-heavy: more cancels than schedules, interleaved with steps, so
-	// eager heap removal and lazy calendar discards both get exercised.
+	// lazy discards at the front and in rebases get exercised.
 	f.Add([]byte{0, 3, 0, 7, 0, 2, 0, 9, 2, 0, 2, 1, 2, 2, 0, 1, 2, 3, 3, 0, 0, 4, 2, 0, 2, 5, 3, 0, 2, 6, 3, 0, 3, 0})
 	// Same-timestamp burst: a long FIFO tie train with a mid-train step and
 	// a cancel inside the tie group.
 	f.Add([]byte{0, 5, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 1, 0, 2, 3, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		type record struct {
-			at  time.Duration
-			ord int // scheduling order, for FIFO ties
-		}
 		// Each program runs at every diffScales stretch so its delays cross
 		// calendar buckets and rotations, not just the first bucket.
-		run := func(kind QueueKind, scale time.Duration) []record {
-			s := NewSchedulerKind(kind)
+		run := func(kind string, width Time, buckets int, scale time.Duration) []firing {
+			s := newSchedulerGeometry(width, buckets)
 			var (
 				pending []*Event // cancellable handles, in scheduling order
-				meta    []record // parallel to pending
-				fired   []record
+				meta    []firing // parallel to pending
+				fired   []firing
 				nexttag int
 			)
 			schedule := func(at time.Duration) {
 				tag := nexttag
 				nexttag++
-				ev, err := s.At(at, func() {
-					fired = append(fired, record{at: at, ord: tag})
+				pending = append(pending, s.MustAt(at, func() {
+					fired = append(fired, firing{at: at, ord: tag})
 					if got := s.Now(); got != at {
 						t.Fatalf("%v: event scheduled for %v fired at Now()=%v", kind, at, got)
 					}
-				})
-				if err != nil {
-					t.Fatalf("%v: At(%v): %v", kind, at, err)
-				}
-				pending = append(pending, ev)
-				meta = append(meta, record{at: at, ord: tag})
+				}))
+				meta = append(meta, firing{at: at, ord: tag})
 			}
 
 			lastAt := time.Duration(0)
@@ -83,7 +75,7 @@ func FuzzScheduler(f *testing.F) {
 			// Every non-cancelled scheduled event fired exactly once; no
 			// cancelled event fired. (An event cancelled after firing stays
 			// fired — Cancel is a no-op then — so filter by the fired list.)
-			firedBy := make(map[int]record, len(fired))
+			firedBy := make(map[int]firing, len(fired))
 			for _, r := range fired {
 				if _, dup := firedBy[r.ord]; dup {
 					t.Fatalf("%v: event %d fired twice", kind, r.ord)
@@ -125,15 +117,17 @@ func FuzzScheduler(f *testing.F) {
 		}
 
 		for _, scale := range diffScales {
-			heapFired := run(QueueHeap, scale)
-			calFired := run(QueueCalendar, scale)
-			if len(heapFired) != len(calFired) {
-				t.Fatalf("scale %v: heap fired %d events, calendar fired %d", scale, len(heapFired), len(calFired))
-			}
-			for i := range heapFired {
-				if heapFired[i] != calFired[i] {
-					t.Fatalf("scale %v firing %d: heap {at %v, ord %d}, calendar {at %v, ord %d}",
-						scale, i, heapFired[i].at, heapFired[i].ord, calFired[i].at, calFired[i].ord)
+			want := runProgramRef(program, scale)
+			for _, g := range geometries {
+				got := run(g.name, g.width, g.buckets, scale)
+				if len(got) != len(want) {
+					t.Fatalf("%s scale %v: fired %d events, reference fired %d", g.name, scale, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s scale %v firing %d: {at %v, ord %d}, reference {at %v, ord %d}",
+							g.name, scale, i, got[i].at, got[i].ord, want[i].at, want[i].ord)
+					}
 				}
 			}
 		}

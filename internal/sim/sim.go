@@ -13,40 +13,28 @@
 // # Memory model
 //
 // A queued event is a 24-byte pointer-free struct — (time, sequence, packed
-// handler id, arg) — stored inline in the queue's backing array. Because the
+// handler id, arg) — stored inline in the queue's backing arrays. Because the
 // entries hold no pointers, the garbage collector never scans the queue and
-// reordering it (the sift loops of the heap, the bucket sorts of the
-// calendar) is pure memory movement with no write barriers; ordering
-// comparisons read the key straight out of the array, so a sift touches no
-// other cache lines. What an entry *runs* is resolved through the handler
-// id at dispatch time. Three tiers:
+// reordering it (the calendar's bucket sorts, its overflow heap's sift loops)
+// is pure memory movement with no write barriers. What an entry *runs* is
+// resolved through the handler id at dispatch time. Two tiers:
 //
 //   - Registered handlers (RegisterHandler + PostHandler/PostHandlerAt): the
 //     handler id indexes a table of func(arg uint32) callbacks registered
 //     once per run; the arg typically indexes a caller-side pool (e.g. the
 //     in-flight timer records of the link pipeline). Scheduling one of these
 //     writes no pointers anywhere — this is the hot-path tier.
-//   - Post/PostAt with a func(): the callback parks in a free-listed slot
-//     table on the scheduler and the entry carries the slot number. Two
-//     pointer writes per event (park, clear), zero allocations.
-//   - At/After/MustAt/MustAfter return a cancellable *Event handle. Handles
-//     are never recycled (a stale handle after the event fired must stay a
-//     safe no-op), so each call allocates one Event record; the entry's arg
-//     names the slot holding it so Cancel can find the queue entry again.
+//   - MustAt/MustAfter return a cancellable *Event handle. Handles are never
+//     recycled (a stale handle after the event fired must stay a safe no-op),
+//     so each call allocates one Event record; the entry's arg names the slot
+//     holding it.
 //
-// A callback may re-arm its own event with RescheduleAfter: the entry is
-// re-keyed in place at the top of the queue instead of being discarded and
-// re-pushed, which is what the fused link pipeline in internal/netem uses to
-// run one transmit+propagate timer per packet.
+// # Queue
 //
-// # Queue implementations
-//
-// Two queue implementations live behind the scheduler seam (see QueueKind):
-// the default specialized 4-ary min-heap, which is the byte-identical
-// reference, and a calendar queue for high event-density runs. Both produce
-// exactly the same (time, sequence) total order — pinned by the differential
-// suite in differential_test.go — so scenario output never depends on the
-// queue choice.
+// The pending-event queue is a calendar queue (see calendarQueue) with a
+// 4-ary heap for events beyond its current rotation. The (time, sequence)
+// total order it produces is pinned against a sorted-list reference by the
+// differential suite in differential_test.go.
 package sim
 
 import (
@@ -82,39 +70,25 @@ func less(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
-// HandlerID selects what a queue entry runs. Values below hidFirst are the
-// built-in closure and handle tiers; RegisterHandler hands out the rest.
+// HandlerID selects what a queue entry runs. hidHandle is the built-in
+// handle tier; RegisterHandler hands out the rest.
 type HandlerID uint32
 
 const (
-	// hidClosure: arg is a slot in Scheduler.fns holding a parked func().
-	hidClosure HandlerID = 0
 	// hidHandle: arg is a slot in Scheduler.evs holding a live *Event.
-	hidHandle HandlerID = 1
+	hidHandle HandlerID = 0
 	// hidFirst is the first id RegisterHandler returns.
-	hidFirst HandlerID = 2
-)
-
-// Handle index sentinels (Event.index when the event is not resident in the
-// 4-ary heap).
-const (
-	// indexFired marks a handle whose event already fired, was cancelled,
-	// or was never queued.
-	indexFired = -1
-	// indexLazy marks a handle queued in a lazily-cancelling queue (the
-	// calendar); its position is not tracked and Cancel flags it instead of
-	// removing it.
-	indexLazy = -2
+	hidFirst HandlerID = 1
 )
 
 // Event is a scheduled callback handle. It is returned by the scheduling
 // methods so that callers may cancel the event before it fires.
 type Event struct {
-	at       Time
+	at Time
+	// fn is the callback while the event is queued; nil once it fired or,
+	// after Cancel, once the queue discarded its entry.
 	fn       func()
 	sched    *Scheduler
-	index    int    // heap position; indexFired / indexLazy otherwise
-	slot     uint32 // scheduler evs slot while queued
 	canceled bool
 }
 
@@ -122,93 +96,50 @@ type Event struct {
 // fire.
 func (e *Event) At() Time { return e.at }
 
-// Cancel prevents the event from firing. Under the heap queue the entry is
-// removed immediately (O(log n) via its tracked index); under the calendar
-// queue it is flagged and discarded when it reaches the front. Either way
-// Len() stops counting it at once. Cancelling an event that already fired or
-// was already cancelled is a no-op. Cancel must only be called from within
-// the simulation (i.e. from event callbacks or before Run), never from
-// another goroutine.
+// Cancel prevents the event from firing. The queue entry is flagged and
+// discarded when it reaches the front, but Len() stops counting it at once.
+// Cancelling an event that already fired or was already cancelled is a
+// no-op. Cancel must only be called from within the simulation (i.e. from
+// event callbacks or before Run), never from another goroutine.
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
 	}
 	e.canceled = true
-	if e.index == indexFired || e.sched == nil {
-		return
+	if e.fn != nil {
+		e.sched.live--
 	}
-	s := e.sched
-	s.live--
-	if e.index >= 0 {
-		s.heap.removeAt(e.index)
-		s.releaseEv(e.slot)
-		e.fn = nil
-		e.index = indexFired
-	}
-	// indexLazy: the stale entry (and its slot) stay until the calendar
-	// discards them at the front.
 }
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// altQueue is the seam behind which non-default queue implementations live.
-// The contract mirrors what the event loop needs: push an entry, surface the
-// live minimum (discarding lazily-cancelled entries on the way), and either
-// drop that minimum or swap it for a re-armed entry. peek's pointer is valid
-// only until the next queue operation.
-type altQueue interface {
-	push(e entry)
-	peek() (*entry, bool)
-	dropMin()
-	replaceMin(e entry)
-}
-
-// Scheduler owns the virtual clock and the pending-event queue.
-//
-// The zero value is ready to use (with the default heap queue); NewScheduler
-// and NewSchedulerKind construct configured instances.
+// Scheduler owns the virtual clock and the pending-event queue. Construct it
+// with NewScheduler.
 type Scheduler struct {
 	now  Time
 	seq  uint64
 	live int // queued non-cancelled events
 
-	heap heapQueue // default 4-ary inline-entry heap
-	alt  altQueue  // non-nil selects an alternative queue (calendar)
-	kind QueueKind
+	cal calendarQueue
 
 	// handlers is the registered-handler dispatch table; slots below
-	// hidFirst are reserved for the built-in tiers.
+	// hidFirst are reserved for the built-in tier.
 	handlers []func(arg uint32)
-	// fns parks closure-tier callbacks; evs parks handle-tier events.
-	// Both are free-listed so steady-state scheduling allocates nothing.
-	fns    []func()
-	fnFree []uint32
+	// evs parks handle-tier events, free-listed so slots are reused.
 	evs    []*Event
 	evFree []uint32
 
 	halted  bool
 	stepped uint64
 	prof    *LoopProfiler // nil unless the event-loop profiler is attached
-
-	inStep   bool
-	rearmAt  Time
-	rearmSeq uint64
-	rearmSet bool
-	// pend holds the first handle-free entry scheduled during the current
-	// callback. Deferring its queue insertion until the executing entry is
-	// retired lets exec turn a drop+push pair into a single in-place
-	// replace. Deferral is invisible to ordering: the (at, seq) key is
-	// assigned at the schedule call as always, and keys alone define the
-	// pop order.
-	pend    entry
-	pendSet bool
 }
 
-// NewScheduler returns an empty scheduler with the clock at zero, using the
-// default heap queue.
+// NewScheduler returns an empty scheduler with the clock at zero.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	s := &Scheduler{handlers: make([]func(uint32), hidFirst, 8)}
+	s.cal = newCalendarQueue(s, defaultCalendarWidth, defaultCalendarBuckets)
+	return s
 }
 
 // Now reports the current virtual time.
@@ -222,9 +153,6 @@ func (s *Scheduler) Len() int { return s.live }
 // Processed reports how many events have been executed so far.
 func (s *Scheduler) Processed() uint64 { return s.stepped }
 
-// Kind reports which queue implementation backs the scheduler.
-func (s *Scheduler) Kind() QueueKind { return s.kind }
-
 // RegisterHandler adds f to the dispatch table and returns its id for use
 // with PostHandler/PostHandlerAt. Handlers are registered once (typically at
 // model construction) and never unregistered; the arg passed at scheduling
@@ -235,9 +163,6 @@ func (s *Scheduler) RegisterHandler(f func(arg uint32)) HandlerID {
 	if f == nil {
 		panic(errors.New("sim: register nil handler"))
 	}
-	if s.handlers == nil {
-		s.handlers = make([]func(uint32), hidFirst, 8)
-	}
 	id := HandlerID(len(s.handlers))
 	s.handlers = append(s.handlers, f)
 	return id
@@ -245,8 +170,8 @@ func (s *Scheduler) RegisterHandler(f func(arg uint32)) HandlerID {
 
 // PostHandlerAt schedules registered handler id to run with arg at absolute
 // time t. Nothing is allocated and no pointer is written anywhere: the event
-// is 24 flat bytes in the queue. It panics on the programming errors At
-// reports, and on an unregistered id.
+// is 24 flat bytes in the queue. It panics on the programming errors MustAt
+// panics on, and on an unregistered id.
 func (s *Scheduler) PostHandlerAt(t Time, id HandlerID, arg uint32) {
 	if t < s.now {
 		panic(fmt.Errorf("sim: post at %v before now %v", t, s.now))
@@ -254,7 +179,7 @@ func (s *Scheduler) PostHandlerAt(t Time, id HandlerID, arg uint32) {
 	if id < hidFirst || int(id) >= len(s.handlers) {
 		panic(fmt.Errorf("sim: post unregistered handler %d", id))
 	}
-	s.pushEntry(entry{at: t, seq: s.seq, hid: id, arg: arg})
+	s.push(entry{at: t, seq: s.seq, hid: id, arg: arg})
 }
 
 // PostHandler schedules registered handler id to run d after the current
@@ -263,102 +188,12 @@ func (s *Scheduler) PostHandler(d time.Duration, id HandlerID, arg uint32) {
 	s.PostHandlerAt(s.now+d, id, arg)
 }
 
-// pushEntry assigns the next sequence number's entry to the active queue.
-// The caller has filled every field but relies on seq/live bookkeeping here.
-func (s *Scheduler) pushEntry(e entry) {
+// push queues e under the sequence number it was built with and advances
+// the sequence and live counters.
+func (s *Scheduler) push(e entry) {
 	s.seq++
 	s.live++
-	s.enqueue(e)
-}
-
-// enqueue inserts a fully-keyed entry. During a callback the first entry is
-// parked in pend (see that field); everything else goes straight in.
-func (s *Scheduler) enqueue(e entry) {
-	if s.inStep && !s.pendSet {
-		s.pend = e
-		s.pendSet = true
-		return
-	}
-	if s.alt != nil {
-		s.alt.push(e)
-	} else {
-		s.heap.push(e)
-	}
-}
-
-// ReserveSeq draws the next sequence number for an event the caller will
-// enqueue later, at the moment its firing time reaches the front of some
-// model-side FIFO (the per-link propagation ring in internal/netem batches
-// arrivals this way: one queued event stands for the whole ring, and each
-// successor is enqueued with the sequence number reserved when it entered).
-// The reservation counts toward Len immediately — the event logically exists
-// from here — and must be spent exactly once, via PostReservedHandlerAt or
-// RescheduleReservedAt, with the same timestamp ordering it would have had
-// as an immediate post. Tie ordering against other events is then identical
-// to scheduling eagerly at reservation time.
-func (s *Scheduler) ReserveSeq() uint64 {
-	v := s.seq
-	s.seq++
-	s.live++
-	return v
-}
-
-// PostReservedHandlerAt schedules registered handler id at absolute time t
-// under a sequence number previously drawn by ReserveSeq. No bookkeeping is
-// done here — the reservation already counted the event — so t and seq must
-// be exactly what an eager post at reservation time would have used.
-func (s *Scheduler) PostReservedHandlerAt(t Time, seq uint64, id HandlerID, arg uint32) {
-	if t < s.now {
-		panic(fmt.Errorf("sim: post at %v before now %v", t, s.now))
-	}
-	if id < hidFirst || int(id) >= len(s.handlers) {
-		panic(fmt.Errorf("sim: post unregistered handler %d", id))
-	}
-	if seq >= s.seq {
-		panic(fmt.Errorf("sim: reserved seq %d was never drawn", seq))
-	}
-	s.enqueue(entry{at: t, seq: seq, hid: id, arg: arg})
-}
-
-// RescheduleReservedAt re-arms the currently executing event at absolute
-// time t under a sequence number previously drawn by ReserveSeq — the
-// chained-FIFO counterpart of RescheduleAfter: the entry is re-keyed in
-// place instead of dropped and re-pushed, and the reservation supplies the
-// key instead of a fresh draw. The same panics as RescheduleAfter apply.
-func (s *Scheduler) RescheduleReservedAt(t Time, seq uint64) {
-	if !s.inStep {
-		panic(errors.New("sim: RescheduleReservedAt outside an event callback"))
-	}
-	if s.rearmSet {
-		panic(errors.New("sim: reschedule called twice in one callback"))
-	}
-	if t < s.now {
-		panic(fmt.Errorf("sim: reschedule at %v before now %v", t, s.now))
-	}
-	if seq >= s.seq {
-		panic(fmt.Errorf("sim: reserved seq %d was never drawn", seq))
-	}
-	s.rearmAt = t
-	s.rearmSeq = seq
-	s.rearmSet = true
-}
-
-// allocFn parks fn in a closure slot and returns the slot number.
-func (s *Scheduler) allocFn(fn func()) uint32 {
-	if k := len(s.fnFree); k > 0 {
-		slot := s.fnFree[k-1]
-		s.fnFree = s.fnFree[:k-1]
-		s.fns[slot] = fn
-		return slot
-	}
-	s.fns = append(s.fns, fn)
-	return uint32(len(s.fns) - 1)
-}
-
-// releaseFn clears a closure slot for reuse.
-func (s *Scheduler) releaseFn(slot uint32) {
-	s.fns[slot] = nil
-	s.fnFree = append(s.fnFree, slot)
+	s.cal.push(e)
 }
 
 // allocEv parks ev in a handle slot and returns the slot number.
@@ -379,202 +214,56 @@ func (s *Scheduler) releaseEv(slot uint32) {
 	s.evFree = append(s.evFree, slot)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// is an error: models that do this are buggy, so At returns a nil event and
-// an error rather than silently reordering time.
-func (s *Scheduler) At(t Time, fn func()) (*Event, error) {
-	if t < s.now {
-		return nil, fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
-	}
-	if fn == nil {
-		return nil, errors.New("sim: schedule nil callback")
-	}
-	ev := &Event{at: t, fn: fn, sched: s, index: indexFired}
-	slot := s.allocEv(ev)
-	ev.slot = slot
-	ent := entry{at: t, seq: s.seq, hid: hidHandle, arg: slot}
-	if s.alt != nil {
-		ev.index = indexLazy
-		s.seq++
-		s.live++
-		s.alt.push(ent)
-	} else {
-		s.heap.sc = s
-		s.seq++
-		s.live++
-		s.heap.push(ent) // sets ev.index
-	}
-	return ev, nil
-}
-
-// After schedules fn to run d after the current virtual time. A negative d is
-// an error.
-func (s *Scheduler) After(d time.Duration, fn func()) (*Event, error) {
-	return s.At(s.now+d, fn)
-}
-
-// MustAfter is After for callers that schedule with non-negative delays by
-// construction (the common case inside model code). It panics on the
-// programming errors After reports.
-func (s *Scheduler) MustAfter(d time.Duration, fn func()) *Event {
-	e, err := s.After(d, fn)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// MustAt is At for callers that schedule in the future by construction.
+// MustAt schedules fn to run at absolute virtual time t and returns a handle
+// that can cancel it. Scheduling in the past or a nil callback is a
+// programming error — models that do this are buggy — so MustAt panics
+// rather than silently reordering time.
 func (s *Scheduler) MustAt(t Time, fn func()) *Event {
-	e, err := s.At(t, fn)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// PostAt schedules fn at absolute time t without returning a handle. The
-// event cannot be cancelled; in exchange the callback parks in a free-listed
-// slot and the queue entry is flat, so posting allocates nothing. It panics
-// on the programming errors At reports.
-func (s *Scheduler) PostAt(t Time, fn func()) {
 	if t < s.now {
-		panic(fmt.Errorf("sim: post at %v before now %v", t, s.now))
+		panic(fmt.Errorf("sim: schedule at %v before now %v", t, s.now))
 	}
 	if fn == nil {
-		panic(errors.New("sim: post nil callback"))
+		panic(errors.New("sim: schedule nil callback"))
 	}
-	s.pushEntry(entry{at: t, seq: s.seq, hid: hidClosure, arg: s.allocFn(fn)})
+	ev := &Event{at: t, fn: fn, sched: s}
+	s.push(entry{at: t, seq: s.seq, hid: hidHandle, arg: s.allocEv(ev)})
+	return ev
 }
 
-// Post schedules fn to run d after the current virtual time, handle-free and
-// allocation-free (see PostAt).
-func (s *Scheduler) Post(d time.Duration, fn func()) {
-	s.PostAt(s.now+d, fn)
-}
-
-// RescheduleAfter re-arms the currently executing event to fire again d
-// after the current time — exactly as if the callback had rescheduled
-// itself with Post/PostHandler at this point (the sequence number is drawn
-// here, so tie ordering against other events scheduled in the same callback
-// is identical to that spelling), except the queue re-keys the entry in
-// place at the top instead of discarding it and pushing a new one. The
-// re-armed firing is handle-free regardless of how the original event was
-// scheduled (the original handle, if any, is already spent). It panics when
-// called outside an event callback, called twice within one callback, or
-// given a negative delay.
-func (s *Scheduler) RescheduleAfter(d time.Duration) {
-	if !s.inStep {
-		panic(errors.New("sim: RescheduleAfter outside an event callback"))
-	}
-	if s.rearmSet {
-		panic(errors.New("sim: RescheduleAfter called twice in one callback"))
-	}
-	if d < 0 {
-		panic(fmt.Errorf("sim: RescheduleAfter with negative delay %v", d))
-	}
-	s.rearmAt = s.now + d
-	s.rearmSeq = s.seq
-	s.seq++
-	s.live++
-	s.rearmSet = true
+// MustAfter schedules fn to run d after the current virtual time (see
+// MustAt). A negative d panics.
+func (s *Scheduler) MustAfter(d time.Duration, fn func()) *Event {
+	return s.MustAt(s.now+d, fn)
 }
 
 // Halt stops Run before the horizon. It is intended to be called from within
 // an event callback (e.g. when a termination condition is detected).
 func (s *Scheduler) Halt() { s.halted = true }
 
-// peekLive surfaces the earliest live entry without removing it. The pointer
-// is valid only until the next queue operation; callers copy what they need.
-func (s *Scheduler) peekLive() (*entry, bool) {
-	if s.alt != nil {
-		return s.alt.peek()
-	}
-	if len(s.heap.es) == 0 {
-		return nil, false
-	}
-	return &s.heap.es[0], true
-}
-
-// exec runs the entry peekLive just surfaced. The entry stays at the front
-// of the queue while its callback runs (new events sort strictly after it,
-// so it remains the minimum); afterwards it is either dropped or — when the
-// callback called RescheduleAfter — re-keyed in place.
+// exec retires the entry the calendar's peek just surfaced and runs it.
 func (s *Scheduler) exec(e *entry) {
 	s.now = e.at
 	s.stepped++
 	s.live--
 	hid, arg := e.hid, e.arg
+	s.cal.dropMin()
 	var fn func()
-	switch hid {
-	case hidClosure:
-		fn = s.fns[arg]
-	case hidHandle:
+	if hid == hidHandle {
 		ev := s.evs[arg]
 		s.releaseEv(arg)
-		ev.index = indexFired
-		fn = ev.fn
-		ev.fn = nil
+		fn, ev.fn = ev.fn, nil
 	}
-	s.rearmSet = false
-	s.inStep = true
-	if hid >= hidFirst {
-		h := s.handlers[hid]
-		if p := s.prof; p != nil {
-			p.begin()
-			h(arg)
-			p.end()
-		} else {
-			h(arg)
-		}
-	} else if p := s.prof; p != nil {
+	p := s.prof
+	if p != nil {
 		p.begin()
+	}
+	if fn != nil {
 		fn()
+	} else {
+		s.handlers[hid](arg)
+	}
+	if p != nil {
 		p.end()
-	} else {
-		fn()
-	}
-	s.inStep = false
-	if s.rearmSet {
-		ne := entry{at: s.rearmAt, seq: s.rearmSeq, hid: hid, arg: arg}
-		if hid == hidHandle {
-			// The handle is spent; the re-armed firing keeps the callback
-			// via a closure slot.
-			ne.hid, ne.arg = hidClosure, s.allocFn(fn)
-		}
-		if s.alt != nil {
-			s.alt.replaceMin(ne)
-			if s.pendSet {
-				s.pendSet = false
-				s.alt.push(s.pend)
-			}
-		} else {
-			s.heap.replaceMin(ne)
-			if s.pendSet {
-				s.pendSet = false
-				s.heap.push(s.pend)
-			}
-		}
-		return
-	}
-	if hid == hidClosure {
-		s.releaseFn(arg)
-	}
-	if s.pendSet {
-		// The callback retired its own entry and scheduled a new one: one
-		// in-place replace instead of a drop plus a push.
-		s.pendSet = false
-		if s.alt != nil {
-			s.alt.replaceMin(s.pend)
-		} else {
-			s.heap.replaceMin(s.pend)
-		}
-		return
-	}
-	if s.alt != nil {
-		s.alt.dropMin()
-	} else {
-		s.heap.dropMin()
 	}
 }
 
@@ -582,7 +271,7 @@ func (s *Scheduler) exec(e *entry) {
 // event was executed (false when the queue is empty). Step must not be
 // called from within an event callback.
 func (s *Scheduler) Step() bool {
-	e, ok := s.peekLive()
+	e, ok := s.cal.peek()
 	if !ok {
 		return false
 	}
@@ -597,7 +286,7 @@ func (s *Scheduler) Step() bool {
 func (s *Scheduler) Run(horizon Time) error {
 	s.halted = false
 	for !s.halted {
-		e, ok := s.peekLive()
+		e, ok := s.cal.peek()
 		if !ok || e.at > horizon {
 			if s.now < horizon {
 				s.now = horizon

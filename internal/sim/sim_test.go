@@ -15,9 +15,7 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	times := []time.Duration{5 * time.Second, time.Second, 3 * time.Second, 2 * time.Second}
 	for _, at := range times {
 		at := at
-		if _, err := s.At(at, func() { got = append(got, at) }); err != nil {
-			t.Fatalf("At(%v): %v", at, err)
-		}
+		s.MustAt(at, func() { got = append(got, at) })
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -60,19 +58,27 @@ func TestSchedulePastRejected(t *testing.T) {
 	if !s.Step() {
 		t.Fatal("Step returned false with a pending event")
 	}
-	if _, err := s.At(time.Second, func() {}); err == nil {
-		t.Error("At in the past succeeded, want error")
-	}
-	if _, err := s.After(-time.Second, func() {}); err == nil {
-		t.Error("After with negative delay succeeded, want error")
+	wantPanic(t, "MustAt in the past", func() { s.MustAt(time.Second, func() {}) })
+	wantPanic(t, "MustAfter with negative delay", func() { s.MustAfter(-time.Second, func() {}) })
+	if s.Len() != 0 {
+		t.Errorf("rejected schedules left Len() = %d, want 0", s.Len())
 	}
 }
 
 func TestScheduleNilCallbackRejected(t *testing.T) {
 	s := NewScheduler()
-	if _, err := s.At(time.Second, nil); err == nil {
-		t.Error("At with nil callback succeeded, want error")
-	}
+	wantPanic(t, "MustAt with nil callback", func() { s.MustAt(time.Second, nil) })
+}
+
+// wantPanic fails the test unless f panics.
+func wantPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s succeeded, want panic", what)
+		}
+	}()
+	f()
 }
 
 func TestCancel(t *testing.T) {

@@ -183,7 +183,56 @@ func Parse(s string) (Config, error) {
 			return cfg, fmt.Errorf("trafficgen: option %q: %v", opt, err)
 		}
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
+}
+
+// Validate rejects out-of-range settings, naming each by its Parse key:
+// fractions outside [0,1] and negative weights, rates and durations. Zero
+// still selects a field's default.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"elephants", c.ElephantFrac},
+		{"unresp", c.UnresponsiveFrac},
+		{"heavy", c.HeavyFrac},
+		{"flash", c.FlashFrac},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("trafficgen: %s=%v: want a fraction in [0,1]", f.key, f.v)
+		}
+	}
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"eweight", c.ElephantWeight},
+		{"mweight", c.MiceWeight},
+		{"hweight", c.HeavyWeight},
+		{"urate", c.UnresponsiveRate},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("trafficgen: %s=%v: want a finite non-negative value", f.key, f.v)
+		}
+	}
+	for _, f := range []struct {
+		key string
+		v   time.Duration
+	}{
+		{"settle", c.Settle},
+		{"lifemin", c.MiceLifeMin},
+		{"lifemax", c.MiceLifeMax},
+		{"period", c.ChurnPeriod},
+		{"flashat", c.FlashAt},
+		{"flashspread", c.FlashSpread},
+		{"flashlife", c.FlashLife},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("trafficgen: %s=%v: want a non-negative duration", f.key, f.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -256,6 +305,9 @@ func boundedPareto(u, alpha, lo, hi float64) float64 {
 // Generate builds the workload for flows 1..flows. It is a pure function
 // of (Config, seed, flows).
 func (c Config) Generate(seed int64, flows int) (Workload, error) {
+	if err := c.Validate(); err != nil {
+		return Workload{}, err
+	}
 	c = c.withDefaults()
 	if flows < 1 {
 		return Workload{}, fmt.Errorf("trafficgen: need at least one flow, got %d", flows)

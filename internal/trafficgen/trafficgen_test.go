@@ -2,6 +2,7 @@ package trafficgen
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -110,6 +111,48 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := (Config{Horizon: time.Minute}).Generate(1, 8); err == nil {
 		t.Error("Generate accepted a kind-less config")
+	}
+}
+
+// TestRejectOutOfRange feeds each range-checked key an out-of-range value
+// through the CLI grammar and the Config struct: both must fail, naming the
+// key. Boundary values stay accepted.
+func TestRejectOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		key  string
+	}{
+		{"heavytail:unresp=2", "unresp"},
+		{"heavytail:elephants=-0.5", "elephants"},
+		{"churn:heavy=1.5", "heavy"},
+		{"churn:flash=-0.1", "flash"},
+		{"heavytail:elephants=NaN", "elephants"},
+		{"heavytail:eweight=-1", "eweight"},
+		{"heavytail:mweight=-2", "mweight"},
+		{"churn:hweight=-4", "hweight"},
+		{"heavytail:urate=-350", "urate"},
+		{"heavytail:urate=inf", "urate"},
+		{"heavytail:settle=-1s", "settle"},
+		{"heavytail:lifemin=-5s", "lifemin"},
+		{"heavytail:lifemax=-30s", "lifemax"},
+		{"churn:period=-16s", "period"},
+		{"churn:flashat=-1s", "flashat"},
+		{"churn:flashspread=-2s", "flashspread"},
+		{"churn:flashlife=-15s", "flashlife"},
+	} {
+		_, err := Parse(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), tc.key+"=") {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", tc.spec, err, tc.key)
+		}
+	}
+	cfg := Config{Kind: KindHeavyTail, Horizon: 2 * time.Minute, UnresponsiveFrac: 2}
+	if _, err := cfg.Generate(1, 8); err == nil || !strings.Contains(err.Error(), "unresp=") {
+		t.Errorf("Generate with UnresponsiveFrac 2 = %v, want an error naming unresp", err)
+	}
+	for _, spec := range []string{"heavytail:unresp=1,elephants=0", "churn:heavy=1,flash=0"} {
+		if _, err := Parse(spec); err != nil {
+			t.Errorf("Parse(%q) rejected a boundary value: %v", spec, err)
+		}
 	}
 }
 
