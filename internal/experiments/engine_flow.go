@@ -217,61 +217,88 @@ func specFullyPinned(s *topospec.Spec) bool {
 // the same capacities (RateBps over 8·1000-byte packets, exactly the
 // packet network's PacketsPerSecond(1000)) and the same placements — so
 // the generic and direct builders are interchangeable (pinned by the
-// differential test in engine_flow_test.go).
+// differential test in engine_flow_scale_test.go). It works on the spec's
+// resolved hops (topospec.Resolved), so each link's "from->to" name is
+// built once and no hop hashes a name.
 func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 	s := sc.Spec
-	if err := s.Validate(); err != nil {
+	r, err := s.Resolve()
+	if err != nil {
 		return nil, err
 	}
-	roles := make(map[string]topospec.NodeRole, len(s.Nodes))
-	for _, n := range s.Nodes {
-		roles[n.Name] = n.Role
-	}
-	rate := make(map[string]float64, len(s.Links))
-	caps := make(map[string]float64, len(s.Links))
-	for _, l := range s.Links {
-		name := l.From + "->" + l.To
-		pps := l.RateBps / (8 * 1000.0)
-		rate[name] = pps
-		// Core-core links are capacity constraints even when no flow
-		// crosses them (cross traffic may target them), mirroring
-		// Cloud.CoreLinks before per-flow promotion.
-		if roles[l.From] == topospec.RoleCore && roles[l.To] == topospec.RoleCore {
-			caps[name] = pps
+	// capacity[i] is Spec.Links[i]'s capacity as a constraint, or -1
+	// while it is none. Core-core links are constraints even when no flow
+	// crosses them (cross traffic may target them), mirroring
+	// Cloud.CoreLinks before per-flow promotion; every link on a pinned
+	// path is promoted into the set, the same rule Build applies to
+	// via-pinned flows.
+	capacity := make([]float64, len(s.Links))
+	pps := func(i int32) float64 { return s.Links[i].RateBps / (8 * 1000.0) }
+	for i := range capacity {
+		capacity[i] = -1
+		if r.CoreLink(i) {
+			capacity[i] = pps(int32(i))
 		}
 	}
-	flows := make([]topospec.FlowSpec, len(s.Flows))
-	copy(flows, s.Flows)
-	sort.Slice(flows, func(i, j int) bool { return flows[i].Index < flows[j].Index })
-	// Every link on a pinned path is promoted into the constraint set, the
-	// same rule Build applies to via-pinned flows.
-	for _, f := range flows {
-		for i := 0; i+1 < len(f.Via); i++ {
-			name := f.Via[i] + "->" + f.Via[i+1]
-			pps, ok := rate[name]
-			if !ok {
-				return nil, fmt.Errorf("flow %d: pinned hop %q is not a link", f.Index, name)
+	for i := range s.Flows {
+		for _, l := range r.Hops(i) {
+			capacity[l] = pps(l)
+		}
+	}
+	names := make([]string, len(s.Links))
+	name := func(i int32) string {
+		if names[i] == "" {
+			names[i] = s.Links[i].From + "->" + s.Links[i].To
+		}
+		return names[i]
+	}
+	if len(sc.Cross) > 0 {
+		// A link declared twice shares its name: the later declaration's
+		// capacity wins, as it does on the hops.
+		byName := make(map[string]float64)
+		for i, c := range capacity {
+			if c >= 0 {
+				byName[name(int32(i))] = c
 			}
-			caps[name] = pps
+		}
+		if err := applyCross(sc, byName); err != nil {
+			return nil, err
+		}
+		for i, c := range capacity {
+			if c >= 0 {
+				capacity[i] = byName[name(int32(i))]
+			}
 		}
 	}
-	if err := applyCross(sc, caps); err != nil {
-		return nil, err
+	order := make([]int, len(s.Flows))
+	for i := range order {
+		order[i] = i
 	}
+	sort.Slice(order, func(a, b int) bool { return s.Flows[order[a]].Index < s.Flows[order[b]].Index })
 	m := flowsim.NewModel()
-	placements := make([]topology.Placement, 0, len(flows))
-	for _, f := range flows {
-		nHops := len(f.Via) - 1
-		links := make([]int, 0, nHops)
-		crossed := make([]string, 0, nHops)
-		for i := 0; i+1 < len(f.Via); i++ {
-			name := f.Via[i] + "->" + f.Via[i+1]
-			li, err := m.AddLink(name, caps[name])
-			if err != nil {
-				return nil, err
+	// modelLink[i] is Spec.Links[i]'s index in the model, or -1 before a
+	// flow first crosses it: links enter the model in flow-index, hop
+	// order.
+	modelLink := make([]int32, len(s.Links))
+	for i := range modelLink {
+		modelLink[i] = -1
+	}
+	placements := make([]topology.Placement, 0, len(order))
+	for _, fi := range order {
+		f := &s.Flows[fi]
+		hops := r.Hops(fi)
+		links := make([]int, len(hops))
+		crossed := make([]string, len(hops))
+		for i, l := range hops {
+			if modelLink[l] < 0 {
+				li, err := m.AddLink(name(l), capacity[l])
+				if err != nil {
+					return nil, err
+				}
+				modelLink[l] = int32(li)
 			}
-			links = append(links, li)
-			crossed = append(crossed, name)
+			links[i] = int(modelLink[l])
+			crossed[i] = name(l)
 		}
 		if err := m.AddFlow(flowsim.Flow{
 			Index:       f.Index,
@@ -288,7 +315,7 @@ func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 			Ingress:   f.Ingress,
 			Egress:    f.Egress,
 			CoreLinks: crossed,
-			Hops:      nHops,
+			Hops:      len(hops),
 			Relays:    f.Relays,
 		})
 	}

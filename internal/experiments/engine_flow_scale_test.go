@@ -41,27 +41,41 @@ func scaleSpecScenario(t *testing.T, scheme Scheme) Scenario {
 // TestDirectSpecBuildMatchesGeneric pins the interchangeability of the two
 // spec→fluid builders: the direct one (no packet network) must produce the
 // exact model — links, capacities, flows, placements — that the generic
-// cloud-based builder does.
+// cloud-based builder does, with and without cross traffic eating into
+// fabric links.
 func TestDirectSpecBuildMatchesGeneric(t *testing.T) {
-	sc := scaleSpecScenario(t, SchemeCorelite)
-	direct, err := buildSpecModelDirect(sc)
-	if err != nil {
-		t.Fatal(err)
+	plain := scaleSpecScenario(t, SchemeCorelite)
+	cross := plain
+	cross.Cross = []CrossTraffic{
+		{Link: "p0a0->cs0", Rate: 20},
+		{Link: "cs1->p1a0", Rate: 30, MeanOn: time.Second, MeanOff: time.Second},
+		{Link: "p0a0->cs0", Rate: 5},
 	}
-	generic, err := buildCloudModel(sc)
-	if err != nil {
-		t.Fatal(err)
+	for name, sc := range map[string]Scenario{"plain": plain, "cross": cross} {
+		direct, err := buildSpecModelDirect(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		generic, err := buildCloudModel(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(direct.model.Links, generic.model.Links) {
+			t.Errorf("%s: link tables differ: direct has %d links, generic %d",
+				name, len(direct.model.Links), len(generic.model.Links))
+		}
+		if !reflect.DeepEqual(direct.model.Flows, generic.model.Flows) {
+			t.Errorf("%s: flow tables differ: direct has %d flows, generic %d",
+				name, len(direct.model.Flows), len(generic.model.Flows))
+		}
+		if !reflect.DeepEqual(direct.placements, generic.placements) {
+			t.Errorf("%s: placements differ between direct and generic spec builds", name)
+		}
 	}
-	if !reflect.DeepEqual(direct.model.Links, generic.model.Links) {
-		t.Errorf("link tables differ: direct has %d links, generic %d",
-			len(direct.model.Links), len(generic.model.Links))
-	}
-	if !reflect.DeepEqual(direct.model.Flows, generic.model.Flows) {
-		t.Errorf("flow tables differ: direct has %d flows, generic %d",
-			len(direct.model.Flows), len(generic.model.Flows))
-	}
-	if !reflect.DeepEqual(direct.placements, generic.placements) {
-		t.Error("placements differ between direct and generic spec builds")
+	bad := plain
+	bad.Cross = []CrossTraffic{{Link: "nowhere->cs0", Rate: 1}}
+	if _, err := buildSpecModelDirect(bad); err == nil {
+		t.Error("direct build accepted cross traffic on an unknown link")
 	}
 }
 

@@ -188,13 +188,55 @@ func Parse(s string) (Config, error) {
 			return cfg, fmt.Errorf("topogen: option %q: %v", opt, err)
 		}
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
+}
+
+// Validate rejects negative parameters, naming each by its grammar key.
+// Zero selects a parameter's documented default; nothing negative is
+// silently replaced by one.
+func (c Config) Validate() error {
+	for _, p := range []struct {
+		key string
+		v   int
+	}{
+		{"k", c.K}, {"flows", c.Flows}, {"queue", c.QueueCap},
+		{"n", c.Clouds}, {"cores", c.CoresPerCloud}, {"through", c.Through}, {"local", c.Local},
+		{"nodes", c.Nodes}, {"degree", c.Degree}, {"maxweight", c.MaxWeight},
+	} {
+		if p.v < 0 {
+			return fmt.Errorf("topogen: %s=%d is negative", p.key, p.v)
+		}
+	}
+	for _, p := range []struct {
+		key string
+		v   float64
+	}{
+		{"host", c.HostRateBps}, {"fabric", c.FabricRateBps}, {"trunk", c.TrunkRateBps},
+	} {
+		if !(p.v >= 0) {
+			return fmt.Errorf("topogen: %s=%gbps is not a rate", p.key, p.v)
+		}
+	}
+	for _, p := range []struct {
+		key string
+		v   time.Duration
+	}{
+		{"hostdelay", c.HostDelay}, {"delay", c.FabricDelay},
+	} {
+		if p.v < 0 {
+			return fmt.Errorf("topogen: %s=%v is negative", p.key, p.v)
+		}
+	}
+	return nil
 }
 
 // Generate builds the spec for cfg. The result always passes
 // topospec.Validate; errors report impossible parameter combinations
 // (odd k, out-of-range ECMP pins, ...).
 func (c Config) Generate(seed int64) (*topospec.Spec, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	switch c.Kind {
 	case KindFatTree:
 		return c.fatTree(seed)

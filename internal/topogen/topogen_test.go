@@ -63,6 +63,47 @@ func TestParseGrammar(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeParameters: a negative count, rate or delay is an
+// error naming its key, from the grammar and from a hand-built Config,
+// never a silent fall back to the default or a run with fewer flows.
+func TestRejectsNegativeParameters(t *testing.T) {
+	for _, tc := range []struct{ spec, key string }{
+		{"fattree:k=4,flows=8,queue=-5", "queue=-5"},
+		{"nclouds:n=3,through=-1", "through=-1"},
+		{"nclouds:n=3,local=-2", "local=-2"},
+		{"mesh:nodes=6,degree=-1", "degree=-1"},
+		{"fattree:k=-4", "k=-4"},
+		{"fattree:k=4,flows=-3", "flows=-3"},
+		{"nclouds:n=-3", "n=-3"},
+		{"nclouds:cores=-1", "cores=-1"},
+		{"mesh:nodes=-6", "nodes=-6"},
+		{"mesh:maxweight=-2", "maxweight=-2"},
+		{"fattree:k=4,hostdelay=-1ms", "hostdelay=-1ms"},
+		{"fattree:k=4,delay=-2ms", "delay=-2ms"},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			_, err := Parse(tc.spec)
+			if err == nil || !strings.Contains(err.Error(), tc.key) {
+				t.Fatalf("Parse(%q) = %v, want an error naming %s", tc.spec, err, tc.key)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		cfg Config
+		key string
+	}{
+		{Config{Kind: KindFatTree, K: 4, QueueCap: -5}, "queue=-5"},
+		{Config{Kind: KindNClouds, Clouds: 3, Through: -1}, "through=-1"},
+		{Config{Kind: KindMesh, Nodes: 6, Degree: -1}, "degree=-1"},
+		{Config{Kind: KindFatTree, K: 4, HostRateBps: -1e6}, "host=-1e+06bps"},
+		{Config{Kind: KindNClouds, TrunkRateBps: -8}, "trunk=-8bps"},
+	} {
+		if _, err := tc.cfg.Generate(1); err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("Generate(%+v) = %v, want an error naming %s", tc.cfg, err, tc.key)
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	for kind, want := range map[Kind]string{
 		KindFatTree: "fattree",

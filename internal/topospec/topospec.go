@@ -306,94 +306,204 @@ func ParseBandwidth(s string) (float64, error) {
 
 // Validate checks the spec's internal consistency.
 func (s *Spec) Validate() error {
-	roles := make(map[string]NodeRole, len(s.Nodes))
-	for _, n := range s.Nodes {
-		if _, dup := roles[n.Name]; dup {
-			return fmt.Errorf("topospec: duplicate node %q", n.Name)
-		}
-		roles[n.Name] = n.Role
+	_, err := s.Resolve()
+	return err
+}
+
+// Resolved is what Resolve derives from a valid spec by name: each via
+// path as the positions of its hop links in Spec.Links, and which links
+// join two core nodes. Builders that walk the spec per hop use it instead
+// of hashing names.
+type Resolved struct {
+	// linkCore[i] reports whether both ends of Spec.Links[i] are core
+	// nodes.
+	linkCore []bool
+	// Flow i's via hops (Spec.Flows order) are hops[hopStart[i]:hopStart[i+1]],
+	// as positions in Spec.Links.
+	hopStart, hops []int32
+}
+
+// CoreLink reports whether both ends of Spec.Links[i] are core nodes.
+func (r *Resolved) CoreLink(i int) bool { return r.linkCore[i] }
+
+// Hops returns the positions in Spec.Links of flow i's via hops (Spec.Flows
+// order), empty when the flow pins no path. A link declared twice resolves
+// to its last declaration, whose rate the builders have always taken.
+func (r *Resolved) Hops(i int) []int32 { return r.hops[r.hopStart[i]:r.hopStart[i+1]] }
+
+// adjacency lists each node's links, in declaration order: node n's are
+// links[start[n]:start[n+1]], positions in Spec.Links.
+type adjacency struct{ start, links []int32 }
+
+// newAdjacency groups the links by end[i], the node id at one end of
+// link i, with a counting sort.
+func newAdjacency(nodes int, end []int32) adjacency {
+	a := adjacency{start: make([]int32, nodes+1), links: make([]int32, len(end))}
+	for _, n := range end {
+		a.start[n+1]++
 	}
-	haveLink := make(map[[2]string]bool, len(s.Links))
-	for _, l := range s.Links {
-		if roles[l.From] == 0 {
-			return fmt.Errorf("topospec: link references unknown node %q", l.From)
+	for n := 0; n < nodes; n++ {
+		a.start[n+1] += a.start[n]
+	}
+	fill := append([]int32(nil), a.start[:nodes]...)
+	for i, n := range end {
+		a.links[fill[n]] = int32(i)
+		fill[n]++
+	}
+	return a
+}
+
+// Resolve validates the spec and resolves its via paths to links. Names
+// are interned once: node names to dense ids (positions in Spec.Nodes),
+// links grouped by endpoint id, so checking a hop scans a few ids instead
+// of hashing a name pair. Its errors are Validate's.
+func (s *Spec) Resolve() (*Resolved, error) {
+	ids := make(map[string]int32, len(s.Nodes))
+	roles := make([]NodeRole, len(s.Nodes))
+	for i, n := range s.Nodes {
+		if _, dup := ids[n.Name]; dup {
+			return nil, fmt.Errorf("topospec: duplicate node %q", n.Name)
 		}
-		if roles[l.To] == 0 {
-			return fmt.Errorf("topospec: link references unknown node %q", l.To)
+		ids[n.Name] = int32(i)
+		roles[i] = n.Role
+	}
+	// node resolves a name to its id; an undeclared or role-less name is
+	// unknown (role 0).
+	node := func(name string) (int32, NodeRole) {
+		id, ok := ids[name]
+		if !ok {
+			return -1, 0
+		}
+		return id, roles[id]
+	}
+	r := &Resolved{linkCore: make([]bool, len(s.Links))}
+	from := make([]int32, len(s.Links))
+	to := make([]int32, len(s.Links))
+	for i, l := range s.Links {
+		var fromRole, toRole NodeRole
+		if from[i], fromRole = node(l.From); fromRole == 0 {
+			return nil, fmt.Errorf("topospec: link references unknown node %q", l.From)
+		}
+		if to[i], toRole = node(l.To); toRole == 0 {
+			return nil, fmt.Errorf("topospec: link references unknown node %q", l.To)
 		}
 		if l.RateBps <= 0 {
-			return fmt.Errorf("topospec: link %s->%s needs a positive rate", l.From, l.To)
+			return nil, fmt.Errorf("topospec: link %s->%s needs a positive rate", l.From, l.To)
 		}
 		if l.Delay < 0 {
-			return fmt.Errorf("topospec: link %s->%s has negative delay", l.From, l.To)
+			return nil, fmt.Errorf("topospec: link %s->%s has negative delay", l.From, l.To)
 		}
-		haveLink[[2]string{l.From, l.To}] = true
+		r.linkCore[i] = fromRole == RoleCore && toRole == RoleCore
 	}
-	seen := make(map[int]bool, len(s.Flows))
+	out, in := newAdjacency(len(s.Nodes), from), newAdjacency(len(s.Nodes), to)
+	// link finds the last declared link a->b by scanning the shorter of
+	// a's out-links and b's in-links: a host has one of each, so a
+	// fabric's hops cost a few steps however many hosts a switch serves.
+	link := func(a, b int32) (int32, bool) {
+		outs := out.links[out.start[a]:out.start[a+1]]
+		ins := in.links[in.start[b]:in.start[b+1]]
+		if len(outs) <= len(ins) {
+			for j := len(outs) - 1; j >= 0; j-- {
+				if to[outs[j]] == b {
+					return outs[j], true
+				}
+			}
+			return 0, false
+		}
+		for j := len(ins) - 1; j >= 0; j-- {
+			if from[ins[j]] == a {
+				return ins[j], true
+			}
+		}
+		return 0, false
+	}
 	if len(s.Flows) == 0 {
-		return fmt.Errorf("topospec: no flows declared")
+		return nil, fmt.Errorf("topospec: no flows declared")
 	}
+	seen := make(map[int]struct{}, len(s.Flows))
 	// Via-pinned flows install route overrides keyed by their endpoint
-	// nodes, so endpoint hosts must be uniquely wired across them.
-	viaIn := make(map[string]int)
-	viaOut := make(map[string]int)
-	for _, f := range s.Flows {
-		if seen[f.Index] {
-			return fmt.Errorf("topospec: duplicate flow index %d", f.Index)
+	// nodes, so endpoint hosts must be uniquely wired across them. viaIn
+	// and viaOut hold, per node id, 1 + the position of the via flow that
+	// uses it as an endpoint; onPath[id] == 1 + i marks flow i's path.
+	viaIn := make([]int32, len(s.Nodes))
+	viaOut := make([]int32, len(s.Nodes))
+	onPath := make([]int32, len(s.Nodes))
+	r.hopStart = make([]int32, len(s.Flows)+1)
+	for fi, f := range s.Flows {
+		r.hopStart[fi] = int32(len(r.hops))
+		if _, dup := seen[f.Index]; dup {
+			return nil, fmt.Errorf("topospec: duplicate flow index %d", f.Index)
 		}
-		seen[f.Index] = true
-		if roles[f.Ingress] != RoleEdge {
-			return fmt.Errorf("topospec: flow %d ingress %q is not an edge node", f.Index, f.Ingress)
+		seen[f.Index] = struct{}{}
+		ingress, inRole := node(f.Ingress)
+		if inRole != RoleEdge {
+			return nil, fmt.Errorf("topospec: flow %d ingress %q is not an edge node", f.Index, f.Ingress)
 		}
-		if roles[f.Egress] != RoleEdge {
-			return fmt.Errorf("topospec: flow %d egress %q is not an edge node", f.Index, f.Egress)
+		egress, outRole := node(f.Egress)
+		if outRole != RoleEdge {
+			return nil, fmt.Errorf("topospec: flow %d egress %q is not an edge node", f.Index, f.Egress)
 		}
 		if len(f.Relays) > 0 && len(f.Via) == 0 {
-			return fmt.Errorf("topospec: flow %d declares relays without a via path", f.Index)
+			return nil, fmt.Errorf("topospec: flow %d declares relays without a via path", f.Index)
 		}
 		if len(f.Via) == 0 {
 			continue
 		}
 		if f.Via[0] != f.Ingress || f.Via[len(f.Via)-1] != f.Egress {
-			return fmt.Errorf("topospec: flow %d via path must run ingress -> egress (%s -> %s)", f.Index, f.Ingress, f.Egress)
+			return nil, fmt.Errorf("topospec: flow %d via path must run ingress -> egress (%s -> %s)", f.Index, f.Ingress, f.Egress)
 		}
 		if len(f.Via) < 2 {
-			return fmt.Errorf("topospec: flow %d via path needs at least two nodes", f.Index)
+			return nil, fmt.Errorf("topospec: flow %d via path needs at least two nodes", f.Index)
 		}
-		onPath := make(map[string]bool, len(f.Via))
+		stamp := int32(fi + 1)
+		cur, curRole := ingress, inRole // Via[0] is the ingress
 		for i, name := range f.Via {
-			if roles[name] == 0 {
-				return fmt.Errorf("topospec: flow %d via references unknown node %q", f.Index, name)
+			if curRole == 0 {
+				return nil, fmt.Errorf("topospec: flow %d via references unknown node %q", f.Index, name)
 			}
-			if onPath[name] {
-				return fmt.Errorf("topospec: flow %d via path visits %q twice", f.Index, name)
+			if onPath[cur] == stamp {
+				return nil, fmt.Errorf("topospec: flow %d via path visits %q twice", f.Index, name)
 			}
-			onPath[name] = true
-			if i+1 < len(f.Via) && !haveLink[[2]string{name, f.Via[i+1]}] {
-				return fmt.Errorf("topospec: flow %d via hop %s->%s has no link (disconnected path)", f.Index, name, f.Via[i+1])
+			onPath[cur] = stamp
+			if i+1 == len(f.Via) {
+				break
 			}
+			next, nextRole := egress, outRole
+			if i+2 < len(f.Via) {
+				next, nextRole = node(f.Via[i+1])
+			}
+			l, linked := int32(0), false
+			if nextRole != 0 {
+				l, linked = link(cur, next)
+			}
+			if !linked {
+				return nil, fmt.Errorf("topospec: flow %d via hop %s->%s has no link (disconnected path)", f.Index, name, f.Via[i+1])
+			}
+			r.hops = append(r.hops, l)
+			cur, curRole = next, nextRole
 		}
-		if prev, dup := viaIn[f.Ingress]; dup {
-			return fmt.Errorf("topospec: flows %d and %d share via ingress %q (hosts must be uniquely wired)", prev, f.Index, f.Ingress)
+		if prev := viaIn[ingress]; prev != 0 {
+			return nil, fmt.Errorf("topospec: flows %d and %d share via ingress %q (hosts must be uniquely wired)", s.Flows[prev-1].Index, f.Index, f.Ingress)
 		}
-		if prev, dup := viaOut[f.Egress]; dup {
-			return fmt.Errorf("topospec: flows %d and %d share via egress %q (hosts must be uniquely wired)", prev, f.Index, f.Egress)
+		if prev := viaOut[egress]; prev != 0 {
+			return nil, fmt.Errorf("topospec: flows %d and %d share via egress %q (hosts must be uniquely wired)", s.Flows[prev-1].Index, f.Index, f.Egress)
 		}
-		viaIn[f.Ingress] = f.Index
-		viaOut[f.Egress] = f.Index
+		viaIn[ingress], viaOut[egress] = stamp, stamp
 		for _, rel := range f.Relays {
-			if !onPath[rel] {
-				return fmt.Errorf("topospec: flow %d relay %q is not on the via path", f.Index, rel)
+			id, role := node(rel)
+			if role == 0 || onPath[id] != stamp {
+				return nil, fmt.Errorf("topospec: flow %d relay %q is not on the via path", f.Index, rel)
 			}
 			if rel == f.Ingress || rel == f.Egress {
-				return fmt.Errorf("topospec: flow %d relay %q cannot be an endpoint", f.Index, rel)
+				return nil, fmt.Errorf("topospec: flow %d relay %q cannot be an endpoint", f.Index, rel)
 			}
-			if roles[rel] != RoleEdge {
-				return fmt.Errorf("topospec: flow %d relay %q is not an edge node", f.Index, rel)
+			if role != RoleEdge {
+				return nil, fmt.Errorf("topospec: flow %d relay %q is not an edge node", f.Index, rel)
 			}
 		}
 	}
-	return nil
+	r.hopStart[len(s.Flows)] = int32(len(r.hops))
+	return r, nil
 }
 
 // Weights extracts the flow-index -> weight map.

@@ -49,3 +49,17 @@ func BenchmarkWriteCSV(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteCSVWide measures the fabric shape: 20k flows of 18 samples
+// each (a 90 s run sampled every 5 s), 360k cells in rows 20k cells wide.
+// Rendering must cost per cell, not per flow-indexed lookup structure.
+func BenchmarkWriteCSVWide(b *testing.B) {
+	res := syntheticResult(20000, 18)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteCSV(io.Discard, res, SeriesAllowed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

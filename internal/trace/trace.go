@@ -6,7 +6,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 
@@ -54,64 +53,75 @@ func seriesOf(f experiments.FlowResult, kind SeriesKind) metrics.Series {
 	}
 }
 
+// csvChunk is how much rendered text WriteCSV gathers before each Write:
+// callers hand it an *os.File, and one syscall per row would dominate a
+// wide render.
+const csvChunk = 64 << 10
+
 // WriteCSV writes "time_s,flow1,flow2,..." rows for the chosen series. Rows
 // are emitted at the result's sample-window granularity; missing samples
-// render as empty cells. Rows are assembled into one reused buffer
-// (strconv.Append*, no per-cell string concatenation), so cost stays linear
-// in cells — this path renders every figure of an evaluation batch.
+// render as empty cells, and a time repeated within one flow's series
+// renders that flow's last sample at it. The rows come from a merge over
+// the time-ordered series with one cursor per flow: each row's time is the
+// earliest sample at the cursors, so each series must be in time order, as
+// every recorder appends them; one that is not is an error. Cost is linear
+// in the cells written, with no per-flow index, and output reaches w in
+// ~64 KiB chunks.
 func WriteCSV(w io.Writer, res *experiments.Result, kind SeriesKind) error {
 	if res == nil {
 		return fmt.Errorf("trace: nil result")
 	}
-	buf := make([]byte, 0, 16*(len(res.Flows)+1))
+	series := make([]metrics.Series, len(res.Flows))
+	for i, f := range res.Flows {
+		series[i] = seriesOf(f, kind)
+	}
+	buf := make([]byte, 0, csvChunk+16*(len(res.Flows)+1))
 	buf = append(buf, "time_s"...)
 	for _, f := range res.Flows {
 		buf = append(buf, ",flow"...)
 		buf = strconv.AppendInt(buf, int64(f.Index), 10)
 	}
 	buf = append(buf, '\n')
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
 
-	// Collect the union of sample times.
-	timeSet := make(map[time.Duration]bool)
-	for _, f := range res.Flows {
-		for _, s := range seriesOf(f, kind) {
-			timeSet[s.At] = true
+	cur := make([]int, len(series))
+	for {
+		// The row's time: the earliest sample still ahead of a cursor.
+		var t time.Duration
+		more := false
+		for i, s := range series {
+			if c := cur[i]; c < len(s) && (!more || s[c].At < t) {
+				t, more = s[c].At, true
+			}
 		}
-	}
-	times := make([]time.Duration, 0, len(timeSet))
-	for t := range timeSet {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-
-	// Index samples per flow for O(1) row assembly.
-	perFlow := make([]map[time.Duration]float64, len(res.Flows))
-	for i, f := range res.Flows {
-		m := make(map[time.Duration]float64)
-		for _, s := range seriesOf(f, kind) {
-			m[s.At] = s.Value
+		if !more {
+			break
 		}
-		perFlow[i] = m
-	}
-
-	for _, t := range times {
-		buf = buf[:0]
-		buf = strconv.AppendFloat(buf, t.Seconds(), 'f', 3, 64)
-		for i := range res.Flows {
+		buf = appendFixed3(buf, t.Seconds())
+		for i, s := range series {
 			buf = append(buf, ',')
-			if v, ok := perFlow[i][t]; ok {
-				buf = strconv.AppendFloat(buf, v, 'f', 3, 64)
+			c := cur[i]
+			if c >= len(s) || s[c].At != t {
+				continue
+			}
+			for c+1 < len(s) && s[c+1].At == t {
+				c++
+			}
+			buf = appendFixed3(buf, s[c].Value)
+			cur[i] = c + 1
+			if c+1 < len(s) && s[c+1].At < t {
+				return fmt.Errorf("trace: flow %d series is not in time order at %v", res.Flows[i].Index, s[c+1].At)
 			}
 		}
 		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
+		if len(buf) >= csvChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
 // WriteSummary writes a human-readable per-flow summary table: weight,
